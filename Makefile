@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check staticcheck check chaos recovery bench bench-smoke bench-tabu bench-obs bench-serve bench-shard bench-cut bench-fault bench-prep bench-jobs bench-recovery
+.PHONY: build test race vet fmt-check staticcheck check chaos recovery bench bench-smoke
 
 build:
 	$(GO) build ./...
@@ -57,64 +57,7 @@ bench:
 # bench-smoke runs the telemetry-overhead benchmark once: a fast CI-grade
 # check that the tabu hot path still builds and runs in all three telemetry
 # states (absent / disabled / enabled). -benchmem keeps the per-run
-# allocation profile visible so regressions show up in the CI log. Overhead
-# numbers need bench-obs.
+# allocation profile visible so regressions show up in the CI log. The
+# end-to-end and per-layer numbers come from `bash perfbench/run.sh`.
 bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkTabuTelemetry -benchtime 1x -benchmem ./internal/tabu/
-
-# bench-tabu regenerates BENCH_tabu.json (local-search before/after).
-bench-tabu:
-	$(GO) run ./cmd/empbench -benchtabu -scale 1
-
-# bench-obs regenerates BENCH_obs.json (tabu throughput with telemetry
-# off / on / full flight-recorder+tracing) and captures the full leg's span
-# events as TRACE_obs.jsonl.
-bench-obs:
-	$(GO) run ./cmd/empbench -benchobs -scale 1
-
-# bench-serve regenerates BENCH_serve.json (cold / hot-cache / deduped
-# POST /solve throughput through the serving subsystem). The default scale
-# keeps it CI-grade; see docs/SERVING.md for what the legs mean.
-bench-serve:
-	$(GO) run ./cmd/empbench -benchserve
-
-# bench-shard regenerates BENCH_shard.json (legacy whole-dataset solve vs
-# the component-sharded pipeline, plus the 1-worker/N-worker determinism
-# check). Speedup tracks GOMAXPROCS; see docs/SHARDING.md.
-bench-shard:
-	$(GO) run ./cmd/empbench -benchshard
-
-# bench-cut regenerates BENCH_cut.json (whole-graph solve vs the cut-sharded
-# solve at 1/2/4 workers on the paper-sized single-component 50k1 dataset,
-# with the p / heterogeneity gap and the cross-worker determinism check).
-# Speedup beyond the serial decomposition needs cores; see docs/SHARDING.md.
-bench-cut:
-	$(GO) run ./cmd/empbench -benchcut -scale 1
-
-# bench-fault regenerates BENCH_fault.json (graceful degradation under
-# shrinking deadlines, shard-panic survival, transient-failure retries). The
-# default scale keeps it CI-grade; see docs/ROBUSTNESS.md for the legs.
-bench-fault:
-	$(GO) run ./cmd/empbench -benchfault
-
-# bench-jobs regenerates BENCH_jobs.json (async job API: sync vs async wall
-# time, submit latency, time-to-first-incumbent vs convergence from the event
-# stream, and the warm-start resubmit win in tabu moves). The default scale
-# keeps it CI-grade; see docs/JOBS.md for what the legs mean.
-bench-jobs:
-	$(GO) run ./cmd/empbench -benchjobs
-
-# bench-recovery regenerates BENCH_recovery.json (durable state: restored-boot
-# snapshot hit rate and serve speedup, warm seeds surviving a restart, and the
-# checkpoint-resume leg — tabu moves saved versus a cold re-solve with the
-# never-worse incumbent check). The default scale keeps it CI-grade; see
-# docs/ROBUSTNESS.md for what the legs mean.
-bench-recovery:
-	$(GO) run ./cmd/empbench -benchrecovery
-
-# bench-prep regenerates BENCH_prep.json (prepared-dataset artifact: solve
-# latency prepared vs unprepared, cold-request throughput, result identity,
-# allocations per tabu move). The default scale keeps it CI-grade; see
-# docs/PERFORMANCE.md for what the legs mean.
-bench-prep:
-	$(GO) run ./cmd/empbench -benchprep

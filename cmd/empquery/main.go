@@ -18,7 +18,7 @@
 // stream:
 //
 //	empquery trace -addr http://localhost:8080 <trace_id>
-//	empquery trace TRACE_obs.jsonl
+//	empquery trace .bench_build/trace/serve-mixed-seed1.jsonl
 //
 // The jobs subcommand drives a running empserve's async job API
 // (docs/JOBS.md): submit a solve without holding the connection, poll or

@@ -554,7 +554,7 @@ func (b *builder) pullAreas(r *region.Region, countIdx []int, swapped map[int]bo
 				if swapped[a] {
 					continue
 				}
-				if !b.g.ConnectedSubsetExcluding(nb.Members, a) {
+				if !b.p.CanRemove(a) {
 					continue
 				}
 				if !nb.Tracker.SatisfiedAllAfterRemove(a, nb.Members) {
@@ -616,7 +616,7 @@ func (b *builder) shedAreas(r *region.Region, countIdx []int) bool {
 			if len(r.Members) <= 1 {
 				break
 			}
-			if !b.g.ConnectedSubsetExcluding(r.Members, a) {
+			if !b.p.CanRemove(a) {
 				continue
 			}
 			if !b.removalKeepsNonCounting(r, a) {

@@ -23,16 +23,20 @@ func benchGrid(b *testing.B, cols, rows int) *Graph {
 }
 
 // BenchmarkConnectedSubsetExcluding measures the donor-region validity
-// check, the hottest graph operation in Step 3 and the local search.
+// check (ConnectedSubsetExcludingScratch, as region.Partition.CanRemove runs
+// it), the hottest graph operation in Step 3 and the cut seam repair.
 func BenchmarkConnectedSubsetExcluding(b *testing.B) {
 	g := benchGrid(b, 50, 50)
+	sc := g.NewScratch()
 	members := make([]int, 0, 100)
 	for i := 0; i < 100; i++ {
 		members = append(members, i) // two rows of the grid
 	}
+	g.ConnectedSubsetExcludingScratch(sc, members, members[0]) // build the adjacency arena
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.ConnectedSubsetExcluding(members, members[i%100])
+		g.ConnectedSubsetExcludingScratch(sc, members, members[i%100])
 	}
 }
 

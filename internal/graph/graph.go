@@ -249,38 +249,13 @@ func (g *Graph) ConnectedSubset(members []int) bool {
 	case 0, 1:
 		return true
 	}
-	in := make(map[int]bool, len(members))
-	for _, v := range members {
-		in[v] = true
-	}
-	return g.connectedWithin(members[0], in, len(members))
-}
-
-// ConnectedSubsetExcluding reports whether the subset stays connected after
-// removing one member. It is the donor-region validity check used by swap
-// moves: region members minus the removed area must remain a single
-// connected component.
-func (g *Graph) ConnectedSubsetExcluding(members []int, removed int) bool {
-	in := make(map[int]bool, len(members))
-	start := -1
-	for _, v := range members {
-		if v == removed {
-			continue
-		}
-		in[v] = true
-		start = v
-	}
-	if len(in) <= 1 {
-		return true
-	}
-	return g.connectedWithin(start, in, len(in))
-}
-
-// connectedWithin runs a BFS from start restricted to the `in` set and
-// reports whether all `want` vertices are reached.
-func (g *Graph) connectedWithin(start int, in map[int]bool, want int) bool {
 	g.ensure()
-	visited := make(map[int]bool, want)
+	in := make(map[int]bool, len(members))
+	for _, v := range members {
+		in[v] = true
+	}
+	start := members[0]
+	visited := make(map[int]bool, len(members))
 	visited[start] = true
 	queue := []int{start}
 	for len(queue) > 0 {
@@ -293,7 +268,7 @@ func (g *Graph) connectedWithin(start int, in map[int]bool, want int) bool {
 			}
 		}
 	}
-	return len(visited) == want
+	return len(visited) == len(members)
 }
 
 // ArticulationPoints returns, for the whole graph, the set of vertices whose

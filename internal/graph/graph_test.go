@@ -167,24 +167,40 @@ func TestConnectedSubset(t *testing.T) {
 	}
 }
 
+// without returns members minus removed: the subset whose connectivity
+// ConnectedSubsetExcludingScratch answers.
+func without(members []int, removed int) []int {
+	out := make([]int, 0, len(members))
+	for _, v := range members {
+		if v != removed {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 func TestConnectedSubsetExcluding(t *testing.T) {
 	g := pathGraph(5)
+	sc := g.NewScratch()
 	all := []int{0, 1, 2, 3, 4}
-	// Removing an endpoint keeps the path connected; removing the middle cuts it.
-	if !g.ConnectedSubsetExcluding(all, 0) {
-		t.Error("removing endpoint 0 should stay connected")
-	}
-	if !g.ConnectedSubsetExcluding(all, 4) {
-		t.Error("removing endpoint 4 should stay connected")
-	}
-	if g.ConnectedSubsetExcluding(all, 2) {
-		t.Error("removing middle 2 should disconnect")
-	}
-	if !g.ConnectedSubsetExcluding([]int{1, 2}, 1) {
-		t.Error("singleton remainder is connected")
-	}
-	if !g.ConnectedSubsetExcluding([]int{1}, 1) {
-		t.Error("empty remainder is vacuously connected")
+	for _, c := range []struct {
+		members []int
+		removed int
+		want    bool
+		why     string
+	}{
+		{all, 0, true, "removing endpoint 0 should stay connected"},
+		{all, 4, true, "removing endpoint 4 should stay connected"},
+		{all, 2, false, "removing middle 2 should disconnect"},
+		{[]int{1, 2}, 1, true, "singleton remainder is connected"},
+		{[]int{1}, 1, true, "empty remainder is vacuously connected"},
+	} {
+		if got := g.ConnectedSubsetExcludingScratch(sc, c.members, c.removed); got != c.want {
+			t.Error(c.why)
+		}
+		if got := g.ConnectedSubset(without(c.members, c.removed)); got != c.want {
+			t.Errorf("oracle: %s", c.why)
+		}
 	}
 }
 
@@ -231,7 +247,7 @@ func TestArticulationPointsBridgeVertex(t *testing.T) {
 }
 
 // Property: v is an articulation point of its component iff removing v
-// disconnects that component (cross-check against ConnectedSubsetExcluding).
+// disconnects that component (cross-check against ConnectedSubset).
 func TestArticulationMatchesRemovalCheck(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -251,7 +267,7 @@ func TestArticulationMatchesRemovalCheck(t *testing.T) {
 			members[i] = i
 		}
 		for v := 0; v < n; v++ {
-			stillConnected := g.ConnectedSubsetExcluding(members, v)
+			stillConnected := g.ConnectedSubset(without(members, v))
 			if art[v] == stillConnected {
 				return false
 			}

@@ -4,10 +4,10 @@ import "math"
 
 // Scratch holds reusable per-vertex buffers for repeated subset-connectivity
 // and articulation queries, avoiding the per-call map allocations of
-// ConnectedSubset/ConnectedSubsetExcluding on hot paths. Membership and
-// visitation are recorded as generation stamps, so resetting between queries
-// is O(1). A Scratch is not safe for concurrent use; each goroutine (or each
-// region.Partition) owns its own.
+// ConnectedSubset on hot paths. Membership and visitation are recorded as
+// generation stamps, so resetting between queries is O(1). A Scratch is not
+// safe for concurrent use; each goroutine (or each region.Partition) owns
+// its own.
 type Scratch struct {
 	g *Graph
 	// inStamp marks subset membership for the current query.
@@ -88,9 +88,9 @@ func (g *Graph) ConnectedSubsetScratch(s *Scratch, members []int) bool {
 	return s.bfsCount(members[0]) == want
 }
 
-// ConnectedSubsetExcludingScratch is ConnectedSubsetExcluding using reusable
-// buffers: it reports whether the subset stays connected after removing one
-// member.
+// ConnectedSubsetExcludingScratch reports whether the subset stays connected
+// after removing one member: the donor-region validity check of swap moves.
+// It answers ConnectedSubset(members minus removed) from reusable buffers.
 func (g *Graph) ConnectedSubsetExcludingScratch(s *Scratch, members []int, removed int) bool {
 	g.ensure()
 	want := s.begin(members, removed)

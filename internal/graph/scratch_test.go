@@ -36,7 +36,7 @@ func TestScratchConnectivityMatchesMaps(t *testing.T) {
 		}
 		removed := members[rng.Intn(len(members))]
 		if got, want := g.ConnectedSubsetExcludingScratch(sc, members, removed),
-			g.ConnectedSubsetExcluding(members, removed); got != want {
+			g.ConnectedSubset(without(members, removed)); got != want {
 			t.Fatalf("trial %d: ConnectedSubsetExcludingScratch = %v, want %v (members %v - %d)",
 				trial, got, want, members, removed)
 		}
@@ -78,15 +78,12 @@ func TestSubsetArticulationMatchesBruteForce(t *testing.T) {
 		members := randomSubset(rng, n, 1+rng.Intn(n))
 		art := g.SubsetArticulation(sc, members)
 		for i, m := range members {
-			// m is an articulation point of the induced subgraph iff the
-			// subset minus m is disconnected.
-			want := !g.ConnectedSubsetExcluding(members, m)
-			// ConnectedSubsetExcluding treats the whole-subset
-			// connectivity per remaining vertices; a disconnected input
-			// subset reports disconnected without m being the cause, so
-			// restrict to m's induced component for the oracle.
+			// m is an articulation point of the induced subgraph iff its
+			// induced component minus m is disconnected. The oracle is
+			// restricted to that component: a disconnected input subset
+			// would otherwise report disconnected without m being the cause.
 			comp := inducedComponent(g, members, m)
-			want = !g.ConnectedSubsetExcluding(comp, m)
+			want := !g.ConnectedSubset(without(comp, m))
 			if art[i] != want {
 				t.Fatalf("trial %d: member %d articulation = %v, want %v (members %v)",
 					trial, m, art[i], want, members)

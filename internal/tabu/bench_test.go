@@ -118,23 +118,23 @@ func growRegions(p *region.Partition, k int) {
 func BenchmarkTabuImprove8k(b *testing.B) {
 	base := eightKPartition(b)
 	for _, mode := range []struct {
-		name     string
-		kernel   bool
-		fallback bool
+		name    string
+		kernel  bool
+		improve func(*region.Partition, Config) Stats
 	}{
-		{"kernel", true, false},
-		{"naive", false, true},
-		{"kerneloff", false, false},
+		{"kernel", true, Improve},
+		{"naive", false, improveFallback},
+		{"kerneloff", false, Improve},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			cfg := Config{Tenure: 10, MaxNoImprove: 30, Fallback: mode.fallback}
+			cfg := Config{Tenure: 10, MaxNoImprove: 30}
 			var moves int
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				p := base.Clone()
 				p.SetHeteroKernel(mode.kernel)
 				b.StartTimer()
-				st := Improve(p, cfg)
+				st := mode.improve(p, cfg)
 				moves += st.Moves
 			}
 			b.ReportMetric(float64(moves)/float64(b.N), "moves/op")

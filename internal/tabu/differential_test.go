@@ -80,12 +80,10 @@ func TestImproveKernelDifferential(t *testing.T) {
 		}
 		old := p.Clone()
 		old.SetHeteroKernel(false)
-		oldCfg := cfg
-		oldCfg.Fallback = true
 
 		fs := Improve(fast, cfg)
 		ss := Improve(slow, cfg)
-		os := Improve(old, oldCfg)
+		os := improveFallback(old, cfg)
 
 		if len(fs.MoveLog) != len(ss.MoveLog) || len(fs.MoveLog) != len(os.MoveLog) {
 			t.Fatalf("seed %d: kernel made %d moves, naive %d, fallback %d",

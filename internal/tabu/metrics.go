@@ -11,9 +11,9 @@ import (
 // call, so the per-candidate cost of telemetry is an ordinary integer
 // increment regardless of whether a registry is bound.
 //
-// The kernel and fallback searchers count the same quantities but do
-// different amounts of work by design (that asymmetry is the point of the
-// kernel), so the values are comparable within one implementation only.
+// The kernel and the test-only fallback searcher count the same quantities
+// but do different amounts of work by design (that asymmetry is the point of
+// the kernel), so the values are comparable within one implementation only.
 type Counters struct {
 	// CandidateEvals counts objective DeltaMove evaluations.
 	CandidateEvals int64
@@ -44,15 +44,15 @@ func (c *Counters) Add(o Counters) {
 // pkgMetrics holds the registry-bound counters; nil until SetMetrics binds
 // a registry (obs counters are nil-receiver safe).
 type pkgMetrics struct {
-	runs, fallbackRuns *obs.Counter
-	moves              *obs.Counter
-	improvements       *obs.Counter
-	candidateEvals     *obs.Counter
-	heapPushes         *obs.Counter
-	heapPops           *obs.Counter
-	tabuRejections     *obs.Counter
-	removability       *obs.Counter
-	span               *obs.Timer
+	runs           *obs.Counter
+	moves          *obs.Counter
+	improvements   *obs.Counter
+	candidateEvals *obs.Counter
+	heapPushes     *obs.Counter
+	heapPops       *obs.Counter
+	tabuRejections *obs.Counter
+	removability   *obs.Counter
+	span           *obs.Timer
 }
 
 var met pkgMetrics
@@ -66,8 +66,6 @@ func SetMetrics(r *obs.Registry) {
 	}
 	met = pkgMetrics{
 		runs: r.Counter("emp_tabu_runs_total{impl=\"kernel\"}",
-			"Tabu Improve invocations by searcher implementation."),
-		fallbackRuns: r.Counter("emp_tabu_runs_total{impl=\"fallback\"}",
 			"Tabu Improve invocations by searcher implementation."),
 		moves: r.Counter("emp_tabu_moves_total",
 			"Accepted local-search moves (including later-reverted ones)."),
@@ -90,13 +88,9 @@ func SetMetrics(r *obs.Registry) {
 
 // flushRun records one finished Improve run into the bound registry and
 // folds the partition's region-level counters along with it.
-func flushRun(st *Stats, fallback bool, p *region.Partition) {
+func flushRun(st *Stats, p *region.Partition) {
 	m := met
-	if fallback {
-		m.fallbackRuns.Inc()
-	} else {
-		m.runs.Inc()
-	}
+	m.runs.Inc()
 	m.moves.Add(int64(st.Moves))
 	m.improvements.Add(int64(st.Improvements))
 	m.candidateEvals.Add(st.Counters.CandidateEvals)

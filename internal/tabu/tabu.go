@@ -45,12 +45,6 @@ type Config struct {
 	// cut-sharding seam repair uses this to search just the stitch-seam
 	// frontier instead of the whole partition.
 	Restrict []bool
-	// Fallback routes the search through the pre-kernel reference
-	// implementation (full candidate scans, per-iteration objective
-	// recompute, one BFS per donor check). It picks the same moves as the
-	// incremental searcher; use it for differential testing and as the
-	// "before" leg of benchmarks.
-	Fallback bool
 	// Ctx, when non-nil, is polled once per iteration: on cancellation the
 	// search stops admitting moves and returns through the normal path, so
 	// the partition still ends at the best state found (moves past it are
@@ -225,12 +219,6 @@ func Improve(p *region.Partition, cfg Config) Stats {
 	// bound and carrying one), so the search phase shows up as a child in the
 	// reconstructed span tree; the flight recorder rides the same context.
 	sp, _ := met.span.StartCtx(cfg.Ctx)
-	if cfg.Fallback {
-		stats := improveFallback(p, cfg)
-		sp.End()
-		flushRun(&stats, true, p)
-		return stats
-	}
 	rec := flight.FromContext(cfg.Ctx)
 	// Decided once up front: whether incumbent assignments should be
 	// snapshotted for the checkpoint tap. The check is hoisted out of the
@@ -309,7 +297,7 @@ func Improve(p *region.Partition, cfg Config) Stats {
 	stats.Counters.HeapPushes = s.heap.pushes
 	stats.Counters.HeapPops = s.heap.pops
 	sp.End()
-	flushRun(&stats, false, p)
+	flushRun(&stats, p)
 	return stats
 }
 
