@@ -56,8 +56,11 @@ bench:
 
 # bench-smoke runs the telemetry-overhead benchmark once: a fast CI-grade
 # check that the tabu hot path still builds and runs in all three telemetry
-# states (absent / disabled / enabled). -benchmem keeps the per-run
-# allocation profile visible so regressions show up in the CI log. The
-# end-to-end and per-layer numbers come from `bash perfbench/run.sh`.
+# states (absent / disabled / enabled), plus H(P) over a partition that
+# issued 50k region ids but keeps 10 alive (the live-region walk). -benchmem
+# keeps the per-run allocation profile visible so regressions show up in the
+# CI log. The end-to-end and per-layer numbers come from
+# `bash perfbench/run.sh`.
 bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkTabuTelemetry -benchtime 1x -benchmem ./internal/tabu/
+	$(GO) test -run xxx -bench BenchmarkHeterogeneitySparseIDs -benchtime 1x -benchmem ./internal/region/

@@ -494,7 +494,7 @@ func (b *builder) adjustCounting() {
 	if len(countIdx) == 0 {
 		return
 	}
-	swapped := make(map[int]bool) // each area is swapped at most once
+	swapped := make([]bool, b.ds.N()) // each area is swapped at most once
 	for !b.stopped() {
 		changed := false
 		for _, id := range b.p.RegionIDs() {
@@ -539,8 +539,10 @@ func (b *builder) countingViolation(r *region.Region, countIdx []int) (below, ab
 
 // pullAreas swaps border areas from neighbor regions into r until the
 // counting lower bounds hold or no valid swap remains. Donors must remain
-// contiguous and fully valid; each area moves at most once overall.
-func (b *builder) pullAreas(r *region.Region, countIdx []int, swapped map[int]bool) bool {
+// contiguous and fully valid; each area moves at most once overall. The
+// constraint checks run before the contiguity BFS, which only the few
+// candidates they admit pay for.
+func (b *builder) pullAreas(r *region.Region, countIdx []int, swapped []bool) bool {
 	moved := false
 	for !b.stopped() {
 		below, _ := b.countingViolation(r, countIdx)
@@ -554,9 +556,6 @@ func (b *builder) pullAreas(r *region.Region, countIdx []int, swapped map[int]bo
 				if swapped[a] {
 					continue
 				}
-				if !b.p.CanRemove(a) {
-					continue
-				}
 				if !nb.Tracker.SatisfiedAllAfterRemove(a, nb.Members) {
 					continue
 				}
@@ -564,6 +563,9 @@ func (b *builder) pullAreas(r *region.Region, countIdx []int, swapped map[int]bo
 					continue
 				}
 				if b.avgIdx >= 0 && !b.avgInRange(r.Tracker.ValueAfterAdd(b.avgIdx, a)) {
+					continue
+				}
+				if !b.p.CanRemove(a) {
 					continue
 				}
 				b.p.MoveArea(a, r.ID)

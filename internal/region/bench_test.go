@@ -1,38 +1,14 @@
 package region
 
-import (
-	"math/rand"
-	"testing"
-
-	"emp/internal/constraint"
-	"emp/internal/data"
-	"emp/internal/geom"
-)
+import "testing"
 
 // benchPartition builds a cols x rows lattice split into two vertical-half
 // regions, optionally with the heterogeneity kernel disabled.
 func benchPartition(b *testing.B, cols, rows int, kernel bool) (*Partition, int, int, int) {
 	b.Helper()
 	n := cols * rows
-	polys := geom.Lattice(geom.LatticeOptions{Cols: cols, Rows: rows})
-	ds := data.FromPolygons("bench", polys, geom.Rook)
-	rng := rand.New(rand.NewSource(1))
-	dis := make([]float64, n)
-	for i := range dis {
-		dis[i] = rng.Float64() * 1000
-	}
-	if err := ds.AddColumn("D", dis); err != nil {
-		b.Fatal(err)
-	}
-	ds.Dissimilarity = "D"
-	ev, err := constraint.NewEvaluator(constraint.Set{}, ds.Column)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := NewPartition(ds, ev)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sh, ev := latticeShared(b, cols, rows, 1)
+	p := NewPartitionShared(sh, ev)
 	p.SetHeteroKernel(kernel)
 	var left, right []int
 	for i := 0; i < n; i++ {
@@ -97,4 +73,17 @@ func BenchmarkRemovableMembers(b *testing.B) {
 			b.Fatal("no members")
 		}
 	}
+}
+
+// BenchmarkHeterogeneitySparseIDs measures H(P) on a partition that issued
+// 50k region ids but keeps only 10 alive — the shape a long construction
+// leaves behind. The walk visits live regions only.
+func BenchmarkHeterogeneitySparseIDs(b *testing.B) {
+	p, _ := sparsePartition(b, 50_000)
+	b.ResetTimer()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += p.Heterogeneity()
+	}
+	_ = sink
 }

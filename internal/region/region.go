@@ -8,6 +8,7 @@ package region
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"emp/internal/constraint"
@@ -34,6 +35,8 @@ type Region struct {
 	// fen is the region's Fenwick heterogeneity index, or nil while the
 	// region is below the build threshold (then the naive scan is used).
 	fen *regionFen
+	// slot is the region's index in Partition.live.
+	slot int
 }
 
 // Version returns the region's mutation epoch. It changes whenever the
@@ -58,10 +61,19 @@ type Partition struct {
 	dis    [][]float64 // one row per dissimilarity attribute
 	assign []int
 	// regs is the region table indexed by region id (nil = no region with
-	// that id). Ids are issued monotonically and never reused, so the table
-	// only grows; iterating it ascending visits regions in ascending-id
-	// order with no sort and no allocation.
-	regs       []*Region
+	// that id), the O(1) id lookup. Ids are issued monotonically and never
+	// reused, so the table only grows and is mostly dead slots after a long
+	// construction: whole-partition walks use the live list instead.
+	regs []*Region
+	// live lists the live regions in ascending-id order, with nil
+	// tombstones where regions were deleted; liveDead counts them. A new
+	// region always carries the largest id issued so far, so insertion
+	// appends; deletion leaves a tombstone, and once tombstones make up half
+	// the slice compactLive squeezes them out. Walks therefore cost
+	// O(live regions), not O(ids ever issued), in amortized O(1) per
+	// deletion, and read the regions through independent loads.
+	live       []*Region
+	liveDead   int
 	numRegions int
 	// freeRegs recycles deleted Region shells (member capacity + tracker
 	// arrays) for subsequent NewRegion calls. The shells keep no identity:
@@ -86,6 +98,9 @@ type Partition struct {
 	// stats accumulates hot-path telemetry as plain ints (the partition is
 	// single-goroutine); see PartitionStats and FlushObs.
 	stats PartitionStats
+	// nbBuf and borderBuf back the results of NeighborRegions and
+	// BorderAreasBetween.
+	nbBuf, borderBuf []int
 }
 
 // NewPartition creates an empty partition (all areas unassigned) for the
@@ -121,7 +136,7 @@ func NewPartition(ds *data.Dataset, ev *constraint.Evaluator) (*Partition, error
 // are dropped when disabling and rebuilt lazily when re-enabling.
 func (p *Partition) SetHeteroKernel(on bool) {
 	p.kernelOn = on
-	for _, r := range p.regs {
+	for _, r := range p.live {
 		if r == nil {
 			continue
 		}
@@ -196,9 +211,9 @@ func (p *Partition) RegionIDBound() int { return p.nextID }
 // RegionIDs returns all region ids in ascending order.
 func (p *Partition) RegionIDs() []int {
 	ids := make([]int, 0, p.numRegions)
-	for id, r := range p.regs {
+	for _, r := range p.live {
 		if r != nil {
-			ids = append(ids, id)
+			ids = append(ids, r.ID)
 		}
 	}
 	return ids
@@ -209,21 +224,19 @@ func (p *Partition) RegionIDs() []int {
 // warm starts and checkpoints use, independent of the sparse ids this
 // partition happened to issue.
 func (p *Partition) DenseAssignment() []int {
-	idx := make(map[int]int, p.numRegions)
-	n := 0
-	for id, r := range p.regs {
-		if r != nil {
-			idx[id] = n
-			n++
-		}
-	}
 	out := make([]int, len(p.assign))
-	for a, id := range p.assign {
-		if id == Unassigned {
-			out[a] = -1
-		} else {
-			out[a] = idx[id]
+	for a := range out {
+		out[a] = -1
+	}
+	k := 0
+	for _, r := range p.live {
+		if r == nil {
+			continue
 		}
+		for _, a := range r.Members {
+			out[a] = k
+		}
+		k++
 	}
 	return out
 }
@@ -250,21 +263,45 @@ func (p *Partition) UnassignedCount() int {
 	return c
 }
 
-// insertRegion installs a region in the table at its id.
+// insertRegion installs a region in the table at its id and appends it to
+// the live list; its id must exceed every live id.
 func (p *Partition) insertRegion(r *Region) {
 	for len(p.regs) <= r.ID {
 		p.regs = append(p.regs, nil)
 	}
 	p.regs[r.ID] = r
+	r.slot = len(p.live)
+	p.live = append(p.live, r)
 	p.numRegions++
 }
 
-// deleteRegion removes the region from the table and parks its shell on the
-// free-list for reuse. The caller must have released r.fen already.
+// deleteRegion removes the region from the table and the live list and
+// parks its shell on the free-list for reuse. The caller must have released
+// r.fen already.
 func (p *Partition) deleteRegion(r *Region) {
 	p.regs[r.ID] = nil
+	p.live[r.slot] = nil
+	p.liveDead++
+	if 2*p.liveDead > len(p.live) {
+		p.compactLive()
+	}
 	p.numRegions--
 	p.freeRegs = append(p.freeRegs, r)
+}
+
+// compactLive drops the tombstones from the live list, keeping id order.
+func (p *Partition) compactLive() {
+	n := 0
+	for _, r := range p.live {
+		if r != nil {
+			r.slot = n
+			p.live[n] = r
+			n++
+		}
+	}
+	clear(p.live[n:])
+	p.live = p.live[:n]
+	p.liveDead = 0
 }
 
 // NewRegion creates a region from the given unassigned areas and returns it.
@@ -427,12 +464,14 @@ func (p *Partition) PairDissimilarity(a, b int) float64 {
 }
 
 // Heterogeneity returns H(P): the sum of internal heterogeneity over all
-// regions (Equation 1 of the paper). The region table is id-ordered, so the
-// float result is identical run-to-run for the same partition with no sort
-// and no allocation.
+// regions (Equation 1 of the paper). It walks the live-region list (at most
+// 2p slots), so it costs O(p) with no allocation however many ids were
+// issued and retired. The list is in ascending-id order, so the float sum
+// is added in a fixed order and is bitwise identical run-to-run for the
+// same partition, and to a scan of the whole id table.
 func (p *Partition) Heterogeneity() float64 {
 	var h float64
-	for _, r := range p.regs {
+	for _, r := range p.live {
 		if r != nil {
 			h += r.Hetero
 		}
@@ -538,26 +577,25 @@ func (p *Partition) AdjacentToRegion(area, regionID int) bool {
 }
 
 // NeighborRegions returns the ids of regions adjacent to the given region
-// (sharing at least one boundary edge), ascending.
+// (sharing at least one boundary edge), ascending. The result is a reusable
+// scratch buffer, valid until the partition's next NeighborRegions call.
 func (p *Partition) NeighborRegions(regionID int) []int {
 	r := p.Region(regionID)
 	if r == nil {
 		return nil
 	}
-	seen := make(map[int]bool)
+	out := p.nbBuf[:0]
 	for _, a := range r.Members {
 		for _, nb := range p.g.Neighbors(a) {
 			id := p.assign[nb]
-			if id != Unassigned && id != regionID && !seen[id] {
-				seen[id] = true
+			if id != Unassigned && id != regionID && (len(out) == 0 || out[len(out)-1] != id) {
+				out = append(out, id)
 			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
 	sort.Ints(out)
+	out = slices.Compact(out)
+	p.nbBuf = out
 	return out
 }
 
@@ -582,19 +620,21 @@ func (p *Partition) BoundaryAreas(regionID int) []int {
 }
 
 // BorderAreasBetween returns areas of region fromID adjacent to region toID,
-// ascending — the swap candidates of Step 3 and the Tabu phase.
+// ascending — the swap candidates of Step 3. The result is a reusable
+// scratch buffer, valid until the partition's next BorderAreasBetween call.
 func (p *Partition) BorderAreasBetween(fromID, toID int) []int {
 	r := p.Region(fromID)
 	if r == nil {
 		return nil
 	}
-	var out []int
+	out := p.borderBuf[:0]
 	for _, a := range r.Members {
 		if p.AdjacentToRegion(a, toID) {
 			out = append(out, a)
 		}
 	}
 	sort.Ints(out)
+	p.borderBuf = out
 	return out
 }
 
@@ -630,7 +670,7 @@ func (p *Partition) MoveValid(area, toRegionID int) bool {
 
 // AllSatisfied reports whether every region satisfies every constraint.
 func (p *Partition) AllSatisfied() bool {
-	for _, r := range p.regs {
+	for _, r := range p.live {
 		if r != nil && !r.Tracker.SatisfiedAll() {
 			return false
 		}
@@ -648,6 +688,7 @@ func (p *Partition) Clone() *Partition {
 		dis:        p.dis,
 		assign:     append([]int(nil), p.assign...),
 		regs:       make([]*Region, len(p.regs)),
+		live:       make([]*Region, 0, p.numRegions),
 		numRegions: p.numRegions,
 		nextID:     p.nextID,
 		krn:        p.krn,
@@ -659,7 +700,7 @@ func (p *Partition) Clone() *Partition {
 	} else {
 		c.scratch = p.g.NewScratch()
 	}
-	for id, r := range p.regs {
+	for _, r := range p.live {
 		if r == nil {
 			continue
 		}
@@ -669,32 +710,65 @@ func (p *Partition) Clone() *Partition {
 			Tracker: r.Tracker.Clone(),
 			Hetero:  r.Hetero,
 			epoch:   r.epoch,
+			slot:    len(c.live),
 		}
 		// Fenwick trees are per-partition state: rebuild rather than
 		// deep-copy so the pool stays private to each clone.
 		c.maybeBuildFen(cr)
-		c.regs[id] = cr
+		c.regs[r.ID] = cr
+		c.live = append(c.live, cr)
 	}
 	return c
 }
 
 // Validate checks all partition invariants; it is meant for tests and
 // debugging, not hot paths:
+//   - the live list is strictly ascending, its slots and tombstone count
+//     are consistent, tombstones fill at most half of it, and it covers
+//     exactly the non-nil table slots, NumRegions of them,
 //   - assignment vector and region member lists agree,
 //   - regions are disjoint and non-empty,
 //   - every region is spatially contiguous,
 //   - trackers and heterogeneity match naive recomputation.
 func (p *Partition) Validate() error {
-	count := 0
-	seen := make(map[int]int) // area -> region id
+	slots := 0
 	for id, r := range p.regs {
 		if r == nil {
 			continue
 		}
-		count++
+		slots++
 		if id != r.ID {
 			return fmt.Errorf("region: table slot %d != region id %d", id, r.ID)
 		}
+	}
+	count := 0
+	var last *Region
+	for i, r := range p.live {
+		if r == nil {
+			continue
+		}
+		count++
+		if r.slot != i {
+			return fmt.Errorf("region: live region %d at slot %d records slot %d", r.ID, i, r.slot)
+		}
+		if last != nil && r.ID <= last.ID {
+			return fmt.Errorf("region: live list not ascending: %d after %d", r.ID, last.ID)
+		}
+		if r.ID < 0 || r.ID >= len(p.regs) || p.regs[r.ID] != r {
+			return fmt.Errorf("region: live region %d is not in the table", r.ID)
+		}
+		last = r
+	}
+	if count != slots || count != p.numRegions || count+p.liveDead != len(p.live) || 2*p.liveDead > len(p.live) {
+		return fmt.Errorf("region: live list holds %d regions and %d tombstones in %d slots, table %d, counter %d",
+			count, p.liveDead, len(p.live), slots, p.numRegions)
+	}
+	seen := make(map[int]int) // area -> region id
+	for _, r := range p.live {
+		if r == nil {
+			continue
+		}
+		id := r.ID
 		if len(r.Members) == 0 {
 			return fmt.Errorf("region: region %d is empty", id)
 		}
@@ -728,9 +802,6 @@ func (p *Partition) Validate() error {
 		if math.Abs(h-r.Hetero) > 1e-6*(1+math.Abs(h)) {
 			return fmt.Errorf("region: region %d heterogeneity %g != recompute %g", id, r.Hetero, h)
 		}
-	}
-	if count != p.numRegions {
-		return fmt.Errorf("region: table holds %d regions but counter says %d", count, p.numRegions)
 	}
 	for a, id := range p.assign {
 		if id == Unassigned {

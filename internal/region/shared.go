@@ -108,7 +108,7 @@ func (p *Partition) Recycle() {
 	if p.shared == nil {
 		return
 	}
-	for _, r := range p.regs {
+	for _, r := range p.live {
 		if r != nil && r.fen != nil {
 			p.shared.fens.Put(r.fen)
 			r.fen = nil
@@ -123,5 +123,6 @@ func (p *Partition) Recycle() {
 		p.scratch = nil
 	}
 	p.regs, p.freeRegs, p.assign = nil, nil, nil
+	p.live, p.liveDead = nil, 0
 	p.numRegions = 0
 }
